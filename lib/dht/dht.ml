@@ -409,31 +409,31 @@ let pending_gets t = Hashtbl.fold (fun _ q acc -> acc + Queue.length q) t.parked
 let stored_elements t =
   Hashtbl.fold (fun _ q acc -> List.rev_append (List.of_seq (Queue.to_seq q)) acc) t.stores.(0) []
 
-let elements_at t ~node =
-  Hashtbl.fold
-    (fun key q acc ->
-      if Ldb.owner (manager_of_key t key) = node then
-        List.rev_append (List.of_seq (Queue.to_seq q)) acc
-      else acc)
-    t.stores.(0) []
+let elements_by_node t =
+  let by_node = Array.make (Ldb.n t.ldb) [] in
+  Hashtbl.iter
+    (fun key q ->
+      let owner = Ldb.owner (manager_of_key t key) in
+      by_node.(owner) <- Queue.fold (fun acc e -> e :: acc) by_node.(owner) q)
+    t.stores.(0);
+  by_node
 
-let take_matching t ~node ~f =
-  let taken = ref [] in
+let take_matching t ~f =
+  let taken = Array.make (Ldb.n t.ldb) [] in
   let updates = ref [] in
   Hashtbl.iter
     (fun key q ->
-      if Ldb.owner (manager_of_key t key) = node then begin
-        let keep = Queue.create () in
-        let mine = ref [] in
-        Queue.iter (fun e -> if f e then mine := e :: !mine else Queue.push e keep) q;
-        if !mine <> [] then begin
-          taken := List.rev_append !mine !taken;
-          updates := (key, keep, !mine) :: !updates
-        end
+      let mine = Queue.fold (fun acc e -> if f e then e :: acc else acc) [] q in
+      if mine <> [] then begin
+        let owner = Ldb.owner (manager_of_key t key) in
+        taken.(owner) <- List.rev_append mine taken.(owner);
+        updates := (key, q, mine) :: !updates
       end)
     t.stores.(0);
   List.iter
-    (fun (key, keep, removed) ->
+    (fun (key, q, removed) ->
+      let keep = Queue.create () in
+      Queue.iter (fun e -> if not (f e) then Queue.push e keep) q;
       if Queue.is_empty keep then Hashtbl.remove t.stores.(0) key
       else Hashtbl.replace t.stores.(0) key keep;
       (* Replica copies drop the same identities; modelled as free local
@@ -443,7 +443,7 @@ let take_matching t ~node ~f =
         List.iter (fun e -> ignore (tbl_remove t.stores.(r) key (Element.equal e))) removed
       done)
     !updates;
-  !taken
+  taken
 
 (* ===================================================== anti-entropy repair
 

@@ -104,16 +104,20 @@ val pending_gets : t -> int
 val stored_elements : t -> Element.t list
 (** All stored elements, unordered (testing/diagnostics). *)
 
-val elements_at : t -> node:int -> Element.t list
-(** Elements a given real node currently stores (its virtual nodes'
-    key-space share) — the per-node candidate sets KSelect works on. *)
+val elements_by_node : t -> Element.t list array
+(** [elements_by_node t].(v) lists the elements real node [v] currently
+    stores (its virtual nodes' key-space share) — the per-node candidate
+    sets KSelect works on.  One pass over the store simulates every
+    node's purely local listing step at once. *)
 
-val take_matching : t -> node:int -> f:(Element.t -> bool) -> Element.t list
-(** Remove and return all elements stored at [node] that satisfy [f]:
-    Seap's DeleteMin phase uses this to pull the k smallest elements out of
-    their random-key homes before re-storing them under position keys
-    (§5.2).  Purely local to [node].  Replica copies drop the same
-    identities (free local bookkeeping, like the call itself). *)
+val take_matching : t -> f:(Element.t -> bool) -> Element.t list array
+(** Remove all stored elements that satisfy [f] and return them bucketed
+    by the real node that stored them: Seap's DeleteMin phase uses this to
+    pull the k smallest elements out of their random-key homes before
+    re-storing them under position keys (§5.2).  One pass over the store
+    simulates every node's purely local step at once; no message is sent.
+    Replica copies drop the same identities (free local bookkeeping, like
+    the call itself). *)
 
 (** {2 Permanent loss and anti-entropy repair} *)
 

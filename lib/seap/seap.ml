@@ -274,7 +274,7 @@ let delete_phase t ~dht_mode =
     let k_eff = min k t.m in
     if k_eff > 0 then begin
       (* Find the k_eff-th smallest stored element. *)
-      let elements = Array.init t.n (fun node -> Dht.elements_at t.dht ~node) in
+      let elements = Dht.elements_by_node t.dht in
       let phase1_hint =
         match t.ksel_window with
         | Some (lo, hi, m0) when 2 * abs (t.m - m0) < m0 -> Some (lo, hi)
@@ -297,9 +297,8 @@ let delete_phase t ~dht_mode =
       (* Pull those elements out of their random-key homes and assign them
          positions 1..k_eff by interval decomposition. *)
       let taken =
-        Array.init t.n (fun node ->
-            Dht.take_matching t.dht ~node ~f:(fun e -> Element.compare e e_k <= 0)
-            |> List.sort Element.compare)
+        Dht.take_matching t.dht ~f:(fun e -> Element.compare e e_k <= 0)
+        |> Array.map (List.sort Element.compare)
       in
       let taken_total = Array.fold_left (fun acc l -> acc + List.length l) 0 taken in
       if taken_total <> k_eff then

@@ -304,6 +304,67 @@ let test_repair_traffic_delta_log_m () =
         (bits - base <= 80 * delta * log2m))
     [ 4; 16; 64; 256 ]
 
+(* --- whole-store local steps against a per-node reference --- *)
+
+(* Differential check of [elements_by_node] and [take_matching] against a
+   reference that buckets [stored_elements] node by node through
+   [manager_of_key], on a fresh store, after a kill and after a join.  Each
+   element carries its key as payload so the reference can place it. *)
+let prop_whole_store_steps_match_reference =
+  let gen =
+    QCheck.Gen.(
+      quad (1 -- 64) (oneofl [ 1; 3 ]) (oneofl [ `Fresh; `Killed; `Joined ])
+        (pair (list_size (0 -- 200) (pair (0 -- 39) (1 -- 50))) (0 -- 50)))
+  in
+  let print (n, k, state, (puts, thr)) =
+    Printf.sprintf "n=%d k=%d state=%s puts=%d thr=%d" n k
+      (match state with `Fresh -> "fresh" | `Killed -> "killed" | `Joined -> "joined")
+      (List.length puts) thr
+  in
+  let sorted l = List.sort Element.compare l in
+  QCheck.Test.make ~name:"whole-store steps = per-node reference" ~count:200
+    (QCheck.make ~print gen) (fun (n, k, state, (puts, thr)) ->
+      let dht = mk_repl ~n ~k ~seed:(n + k) in
+      let ops =
+        List.mapi
+          (fun i (key, prio) ->
+            Dht.Put
+              {
+                origin = i mod n;
+                key;
+                elt = Element.make ~prio ~origin:(i mod n) ~seq:i ~payload:key ();
+                confirm = false;
+              })
+          puts
+      in
+      ignore (Dht.run_batch_sync dht ops);
+      (match state with
+      | `Killed when n > 1 -> ignore (Dht.kill_node dht ~node:(n / 2))
+      | `Joined -> ignore (Dht.set_topology dht (Ldb.join (Dht.ldb dht)))
+      | `Fresh | `Killed -> ());
+      let reference () =
+        let by_node = Array.make (Ldb.n (Dht.ldb dht)) [] in
+        List.iter
+          (fun (e : Element.t) ->
+            let owner = Ldb.owner (Dht.manager_of_key dht e.payload) in
+            by_node.(owner) <- e :: by_node.(owner))
+          (Dht.stored_elements dht);
+        Array.map sorted by_node
+      in
+      let expected = reference () in
+      let listed = Dht.elements_by_node dht in
+      let f (e : Element.t) = e.prio <= thr in
+      let want = Array.map (List.filter f) expected in
+      let want_total = Array.fold_left (fun acc l -> acc + List.length l) 0 want in
+      let size0 = Dht.size dht in
+      let taken = Dht.take_matching dht ~f in
+      let st = Dht.repair dht in
+      Array.map sorted listed = expected
+      && Array.map sorted taken = want
+      && Dht.size dht = size0 - want_total
+      && st.Dht.keys_pulled = 0
+      && st.Dht.elements_shipped = 0)
+
 let () =
   Alcotest.run "dpq_dht"
     [
@@ -334,4 +395,5 @@ let () =
           Alcotest.test_case "repair traffic O(delta log m)" `Quick
             test_repair_traffic_delta_log_m;
         ] );
+      ("local steps", [ QCheck_alcotest.to_alcotest prop_whole_store_steps_match_reference ]);
     ]

@@ -368,6 +368,47 @@ let test_stream_large_n () =
      bounded by the closed loop's in-flight inserts, not the stream length *)
   checkb "peak_live bounded" true (s.R.peak_live < 4 * n)
 
+(* ------------------------------------------------ allocation flat in n *)
+
+module Heap = Dpq.Dpq_heap
+
+(* Minor words per op of [Heap.process] over a standing heap of 16
+   elements per node.  DeleteMin's local steps touch each stored element a
+   constant number of times per batch, whichever node stores it, so the
+   words per op must not grow with n.  Minor-word counts are deterministic
+   for a fixed seed. *)
+let process_words_per_op ~n =
+  let spec ~rounds ~insert_ratio ~seed =
+    W.Gen.
+      { n; rounds; lambda = 1; insert_ratio; dist = W.Uniform (1, 1_000_000); seed; arrival = W.Closed }
+  in
+  let h = Heap.create ~seed:1 ~n Heap.Seap in
+  let inject (op : W.op) =
+    match op.W.action with
+    | `Ins p -> ignore (Heap.insert h ~node:op.W.node ~prio:p)
+    | `Del -> Heap.delete_min h ~node:op.W.node
+  in
+  W.Gen.iter (List.iter inject) (W.Gen.create (spec ~rounds:16 ~insert_ratio:1.0 ~seed:29));
+  ignore (Heap.process h);
+  checki "prefilled" (16 * n) (Heap.heap_size h);
+  let words = ref 0.0 and ops = ref 0 in
+  W.Gen.iter
+    (fun round ->
+      List.iter inject round;
+      ops := !ops + List.length round;
+      let w0 = Gc.minor_words () in
+      ignore (Heap.process h);
+      words := !words +. (Gc.minor_words () -. w0))
+    (W.Gen.create (spec ~rounds:4 ~insert_ratio:0.5 ~seed:31));
+  !words /. float_of_int !ops
+
+let test_words_per_op_flat_in_n () =
+  let small = process_words_per_op ~n:64 and large = process_words_per_op ~n:512 in
+  checkb
+    (Printf.sprintf "words/op at n=512 (%.0f) <= 1.5x words/op at n=64 (%.0f)" large small)
+    true
+    (large <= 1.5 *. small)
+
 (* qcheck: random interleavings preserve Seap's guarantees. *)
 let prop_seap_semantics =
   let gen =
@@ -411,6 +452,7 @@ let () =
           Alcotest.test_case "invalid args" `Quick test_invalid_args;
           Alcotest.test_case "drain" `Quick test_drain;
           Alcotest.test_case "stream n=4096, 2^18 ops" `Slow test_stream_large_n;
+          Alcotest.test_case "words/op flat in n" `Quick test_words_per_op_flat_in_n;
           QCheck_alcotest.to_alcotest prop_delete_positions_match_sorted_reference;
           QCheck_alcotest.to_alcotest prop_seap_semantics;
         ] );
