@@ -1,36 +1,14 @@
 module Ldb = Dpq_overlay.Ldb
 
-type t = {
-  ldb : Ldb.t;
-  managers : (float, Ldb.vnode) Hashtbl.t;
-  paths : (int * float, Ldb.vnode array) Hashtbl.t;
-  mutable hits : int;
-}
+type t = { ldb : Ldb.t; paths : (int * float, Ldb.vnode array) Hashtbl.t }
 
-let create ldb = { ldb; managers = Hashtbl.create 64; paths = Hashtbl.create 64; hits = 0 }
-let ldb t = t.ldb
-
-let manager t ~point =
-  match Hashtbl.find_opt t.managers point with
-  | Some v ->
-      t.hits <- t.hits + 1;
-      v
-  | None ->
-      let v = Ldb.manager_of_point t.ldb point in
-      Hashtbl.replace t.managers point v;
-      v
-
-let owner t ~point = Ldb.owner (manager t ~point)
+let create ldb = { ldb; paths = Hashtbl.create 64 }
 
 let path t ~src ~point =
   let key = (src, point) in
   match Hashtbl.find_opt t.paths key with
-  | Some p ->
-      t.hits <- t.hits + 1;
-      p
+  | Some p -> p
   | None ->
       let p = Ldb.route_array t.ldb ~src ~point in
       Hashtbl.replace t.paths key p;
       p
-
-let hits t = t.hits

@@ -1,22 +1,16 @@
-(** Per-batch route table (the PR 4 trick, factored out for reuse).
+(** Per-batch route table for the DHT.
 
-    A batch of routed operations over a fixed overlay resolves the same
-    points and walks the same paths over and over: DHT replies always route
-    to the requester's fixed reply point, and KSelect's sorting storms
-    address every message to the manager of a hashed position or pair
-    point.  Within one batch the overlay cannot change (kills and joins
-    commit only at quiescent batch boundaries), so both resolutions are
-    pure — this table memoizes them for the lifetime of a batch.
+    A batch of routed DHT operations over a fixed overlay walks the same
+    paths over and over: replies always route to the requester's fixed
+    reply point, and replica writes repeat per key.  Within one batch the
+    overlay cannot change (kills and joins commit only at quiescent batch
+    boundaries), so route resolution is pure, and this table memoizes it
+    for the lifetime of a batch.  It sends no messages; the DHT still hops
+    the full path.
 
-    [manager] memoizes {!Dpq_overlay.Ldb.manager_of_point}: protocols that
-    keep a table per batch can address a point's manager directly instead
-    of re-walking the overlay per candidate.  [path] memoizes
-    {!Dpq_overlay.Ldb.route_array} keyed by (source vnode, point): the
-    returned array is shared across hits, which is safe because forwarding
-    only ever reads it.  Neither call sends messages; what a protocol does
-    with the resolution (hop the full path like the DHT, or send direct
-    like KSelect's aggregated sorting stage) is its own cost-model
-    decision. *)
+    KSelect's sorting stage does not use it: it resolves each addressed
+    point to its manager once per stage in its own flat arrays (DESIGN.md
+    §11). *)
 
 type t
 
@@ -24,16 +18,6 @@ val create : Dpq_overlay.Ldb.t -> t
 (** Build an empty table over the given overlay snapshot.  The table must
     be dropped when the overlay changes (i.e. at the batch boundary). *)
 
-val ldb : t -> Dpq_overlay.Ldb.t
-
-val manager : t -> point:float -> Dpq_overlay.Ldb.vnode
-(** Memoized [Ldb.manager_of_point]. *)
-
-val owner : t -> point:float -> int
-(** Real node owning {!manager}. *)
-
 val path : t -> src:Dpq_overlay.Ldb.vnode -> point:float -> Dpq_overlay.Ldb.vnode array
-(** Memoized [Ldb.route_array].  Hits return the same (read-only) array. *)
-
-val hits : t -> int
-(** Memoization hits so far, for diagnostics and tests. *)
+(** Memoized [Ldb.route_array] keyed by (source vnode, point).  Hits return
+    the same array, which is safe because forwarding only ever reads it. *)

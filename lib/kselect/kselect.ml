@@ -6,7 +6,6 @@ module Rng = Dpq_util.Rng
 module Ldb = Dpq_overlay.Ldb
 module Aggtree = Dpq_aggtree.Aggtree
 module Phase = Dpq_aggtree.Phase
-module Route_table = Dpq_dht.Route_table
 module Sync = Dpq_simrt.Sync_engine
 module Metrics = Dpq_simrt.Metrics
 
@@ -72,14 +71,28 @@ type spayload =
    of the sorting storm. *)
 type smsg = { path : Ldb.vnode list; pbits : int; payload : spayload }
 
+(* Aggregated-stage payloads carry only what the simulator cannot resolve
+   from its per-stage state: a copy's element is its representative's
+   element, and the point a payload is addressed to resolves to the vnode
+   managing it.  The bits charged are still those of the full wire payload
+   (points and elements included), computed by the same functions as the
+   pairwise stage's. *)
+type item =
+  | Copy of { i : int; a : int; b : int; x : int; parent_mid : int }
+  | Meet of { i : int; j : int }
+  | Ballot of { i : int; j : int; smaller : int; larger : int }
+  | Sum of { i : int; parent_mid : int; smaller : int; larger : int }
+
 (* Aggregated wire format: ONE engine message per (src, dst, round) carrying
-   every sorting-stage payload crossing that edge this round.  [adest] is
-   the target virtual node each payload is addressed to (resolved through
-   the per-batch route table at posting time), so the message needs no hop
-   forwarding at all. *)
-type aitem = { adest : Ldb.vnode; apay : spayload }
-type amsg = { aitems : aitem list; abits : int }
-type acell = { mutable citems : aitem list; mutable cbits : int }
+   every sorting-stage item crossing that edge this round, as the slice
+   [off, off + len) of an array shared by one activation's messages.  An
+   item for a co-located vnode travels alone over the free virtual edge,
+   whose size is never charged. *)
+type amsg = Local of item | Combined of { items : item array; off : int; len : int; abits : int }
+
+(* A node's items awaiting its next activation, in post order, with the
+   real node each is bound for. *)
+type outbox = { mutable obuf : item array; mutable odst : int array; mutable olen : int }
 
 type tnode = {
   t_i : int;
@@ -97,20 +110,34 @@ type tnode = {
   mutable t_done : bool;
 }
 
+(* Payload bits of the four sorting-stage payloads, shared by both stages.
+   [point_bits] is one point's width, [elt_bits] the carried element's. *)
+let disseminate_bits ~point_bits ~elt_bits ~i ~a ~b ~x ~parent_mid =
+  Bitsize.bits_of_int i + Bitsize.bits_of_int a + Bitsize.bits_of_int b + Bitsize.bits_of_int x
+  + (2 * point_bits) + Bitsize.bits_of_int parent_mid + elt_bits
+
+let rendezvous_bits ~point_bits ~elt_bits ~i ~j =
+  Bitsize.bits_of_int i + Bitsize.bits_of_int j + elt_bits + point_bits
+
+let vote_bits ~i ~j ~smaller ~larger =
+  Bitsize.bits_of_int i + Bitsize.bits_of_int j + smaller + larger + 2
+
+let child_sum_bits ~i ~parent_mid ~smaller ~larger =
+  Bitsize.bits_of_int i + Bitsize.bits_of_int parent_mid + Bitsize.bits_of_int smaller
+  + Bitsize.bits_of_int larger
+
+let point_bits_of ldb = 2 * Bitsize.log2_ceil (max 2 (Ldb.n ldb))
+
 let spayload_bits ldb p =
-  let n = max 2 (Ldb.n ldb) in
-  let point_bits = 2 * Bitsize.log2_ceil n in
+  let point_bits = point_bits_of ldb in
   match p with
   | Disseminate d ->
-      Bitsize.bits_of_int d.i + Bitsize.bits_of_int d.a + Bitsize.bits_of_int d.b
-      + Bitsize.bits_of_int (abs d.x) + (2 * point_bits) + Bitsize.bits_of_int (abs d.parent_mid)
-      + Element.encoded_bits d.elt
-  | Rendezvous r ->
-      Bitsize.bits_of_int r.i + Bitsize.bits_of_int r.j + Element.encoded_bits r.elt + point_bits
-  | Vote v -> Bitsize.bits_of_int v.i + Bitsize.bits_of_int v.j + v.smaller + v.larger + 2
+      disseminate_bits ~point_bits ~elt_bits:(Element.encoded_bits d.elt) ~i:d.i ~a:d.a ~b:d.b
+        ~x:d.x ~parent_mid:d.parent_mid
+  | Rendezvous r -> rendezvous_bits ~point_bits ~elt_bits:(Element.encoded_bits r.elt) ~i:r.i ~j:r.j
+  | Vote v -> vote_bits ~i:v.i ~j:v.j ~smaller:v.smaller ~larger:v.larger
   | Child_sum c ->
-      Bitsize.bits_of_int c.i + Bitsize.bits_of_int c.parent_mid + Bitsize.bits_of_int c.smaller
-      + Bitsize.bits_of_int c.larger
+      child_sum_bits ~i:c.i ~parent_mid:c.parent_mid ~smaller:c.smaller ~larger:c.larger
 
 let report_of_engine rounds m =
   Phase.
@@ -124,21 +151,33 @@ let report_of_engine rounds m =
       busiest_node_load = Array.fold_left max 0 (Metrics.node_load m);
     }
 
-let orders_to_array ~n' ~elt_of_pos orders =
-  if Hashtbl.length orders <> n' then
+(* [elts.(i)] is representative i's element, i in 1..n'. *)
+let elts_of_reps ~n' reps =
+  let elts = Array.make (n' + 1) (Element.make ~prio:0 ~origin:0 ~seq:0 ()) in
+  Array.iter (List.iter (fun (pos, elt) -> elts.(pos) <- elt)) reps;
+  elts
+
+(* [orders.(i)] is representative i's order, 0 while unknown. *)
+let orders_to_array ~elts orders =
+  let n' = Array.length orders - 1 in
+  let got = Array.fold_left (fun acc o -> if o <> 0 then acc + 1 else acc) 0 orders in
+  if got <> n' then
     failwith
-      (Printf.sprintf "Kselect.sorting_stage: got %d orders for %d representatives"
-         (Hashtbl.length orders) n');
+      (Printf.sprintf "Kselect.sorting_stage: got %d orders for %d representatives" got n');
   let by_order = Array.make (n' + 1) None in
-  Hashtbl.iter
-    (fun i order ->
-      if order < 1 || order > n' then failwith "Kselect.sorting_stage: order out of range";
-      (match by_order.(order) with
-      | Some _ -> failwith "Kselect.sorting_stage: duplicate order"
-      | None -> ());
-      by_order.(order) <- Some (Hashtbl.find elt_of_pos i))
-    orders;
+  for i = 1 to n' do
+    let order = orders.(i) in
+    if order < 1 || order > n' then failwith "Kselect.sorting_stage: order out of range";
+    (match by_order.(order) with
+    | Some _ -> failwith "Kselect.sorting_stage: duplicate order"
+    | None -> ());
+    by_order.(order) <- Some elts.(i)
+  done;
   Array.map Option.get (Array.sub by_order 1 n')
+
+let phase_end trace ~span (r : Phase.report) =
+  Dpq_obs.Trace.phase_end trace ~span ~name:"kselect-sort" ~rounds:r.rounds ~messages:r.messages
+    ~max_congestion:r.max_congestion ~max_message_bits:r.max_message_bits ~total_bits:r.total_bits
 
 (* [reps]: for each real node, the (position, element) pairs it contributed.
    Returns the element of each order (index 1..n') plus the number of
@@ -159,10 +198,9 @@ let sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair
   let pair_point i j = Hashing.pair_to_unit_interval hash_pair (min i j) (max i j) in
   let tnodes : (int * int, tnode) Hashtbl.t = Hashtbl.create (4 * n') in
   let rendez : (int * int, int * Element.t * float) Hashtbl.t = Hashtbl.create (n' * n' / 2) in
-  let orders : (int, int) Hashtbl.t = Hashtbl.create n' in
+  let orders = Array.make (n' + 1) 0 in
   let participations : (int * int, unit) Hashtbl.t = Hashtbl.create (4 * n') in
-  let elt_of_pos = Hashtbl.create n' in
-  Array.iter (List.iter (fun (pos, elt) -> Hashtbl.replace elt_of_pos pos elt)) reps;
+  let elts = elts_of_reps ~n' reps in
   let routing_header =
     let nn = max 2 n in
     (2 * Bitsize.log2_ceil nn) + Bitsize.log2_ceil nn
@@ -196,7 +234,7 @@ let sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair
       tn.t_done <- true;
       if tn.t_parent_point < 0.0 then
         (* Root of T(v_i): the combined vote vector yields the order. *)
-        Hashtbl.replace orders tn.t_i (tn.t_smaller + 1)
+        orders.(tn.t_i) <- tn.t_smaller + 1
       else
         hop_back_from eng ~src_vnode:tn.t_vnode ~from_point:tn.t_point ~point:tn.t_parent_point
           (Child_sum
@@ -345,236 +383,259 @@ let sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair
   let rounds = Sync.run_to_quiescence ~max_rounds:200_000 eng in
   let stage_report = report_of_engine rounds (Sync.metrics eng) in
   add_report stage_report;
-  Dpq_obs.Trace.phase_end trace ~span ~name:"kselect-sort"
-    ~rounds:stage_report.Phase.rounds ~messages:stage_report.Phase.messages
-    ~max_congestion:stage_report.Phase.max_congestion
-    ~max_message_bits:stage_report.Phase.max_message_bits
-    ~total_bits:stage_report.Phase.total_bits;
-  (orders_to_array ~n' ~elt_of_pos orders, Hashtbl.length participations)
+  phase_end trace ~span stage_report;
+  (orders_to_array ~elts orders, Hashtbl.length participations)
 
 (* The aggregated sorting stage: same copy trees, same hashed pair points,
    same vote algebra — but every payload is addressed directly to its
-   destination's manager (resolved through the per-batch route table) and
-   buffered in a per-node outbox; each node's activation flushes ONE
-   combined vector message per destination per round.  Messages per stage
-   drop from Θ(n'² log n) wire words to the number of busy (src, dst)
-   edges per round, while every O(log n)-bit payload invariant survives:
-   a combined message carries the per-node constant number of comparisons
-   that previously travelled as separate words. *)
-let sorting_stage_aggregated ~trace ~faults ~sched ~rt ~hash_pos ~hash_pair
+   destination's manager and buffered in a per-node outbox; each node's
+   activation flushes ONE combined vector message per destination per
+   round.  Messages per stage drop from Θ(n'² log n) wire words to the
+   number of busy (src, dst) edges per round.
+
+   The simulator's own state lives in flat arrays allocated once per stage:
+   copy c_{i,j} and the rendezvous slot of pair {i,j} (i <= j) sit at index
+   i·(n'+1)+j, and participations are one bitset over (node, tree).  Each
+   copy records the vnode its Copy item was delivered to, i.e. the manager
+   of the point it was addressed by, so its ballot and its children's sums
+   go straight back there.  Managers of bitstring points and pair points
+   are resolved once per stage. *)
+let sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair
     ~(reps : (int * Element.t) list array) ~n' ~(add_report : Phase.report -> unit) =
   let span = Dpq_obs.Trace.phase_start trace "kselect-sort" in
-  let ldb = Route_table.ldb rt in
   let n = Ldb.n ldb in
   let d' = max 1 (Bitsize.log2_ceil (max 2 n')) in
-  let point_of_bits x = float_of_int x /. float_of_int (1 lsl d') in
-  let pos_point i = Hashing.to_unit_interval hash_pos i in
-  let pair_point i j = Hashing.pair_to_unit_interval hash_pair (min i j) (max i j) in
-  let tnodes : (int * int, tnode) Hashtbl.t = Hashtbl.create (4 * n') in
-  let rendez : (int * int, int * Element.t * float) Hashtbl.t = Hashtbl.create (n' * n' / 2) in
-  let orders : (int, int) Hashtbl.t = Hashtbl.create n' in
-  let participations : (int * int, unit) Hashtbl.t = Hashtbl.create (4 * n') in
-  let elt_of_pos = Hashtbl.create n' in
-  Array.iter (List.iter (fun (pos, elt) -> Hashtbl.replace elt_of_pos pos elt)) reps;
-  let point_bits = 2 * Bitsize.log2_ceil (max 2 n) in
+  let w = n' + 1 in
+  let elts = elts_of_reps ~n' reps in
+  let elt_bits = Array.map Element.encoded_bits elts in
+  (* copy c_{i,j}: its vnode (-1 until created), parent, tallies, and the
+     ballot plus child sums it still waits for *)
+  let cvnode = Array.make (w * w) (-1) in
+  let cparent = Array.make (w * w) 0 in
+  let csmaller = Array.make (w * w) 0 in
+  let clarger = Array.make (w * w) 0 in
+  let cwaiting = Array.make (w * w) 0 in
+  let rslot = Array.make (w * w) 0 (* first copy index to arrive, 0: none *) in
+  let pair_mgr = Array.make (w * w) (-1) in
+  let bits_mgr = Array.make (1 lsl d') (-1) in
+  let root_mgr =
+    Array.init w (fun i ->
+        if i = 0 then -1 else Ldb.manager_of_point ldb (Hashing.to_unit_interval hash_pos i))
+  in
+  let orders = Array.make w 0 in
+  let participated = Bytes.make (((n * w) + 7) / 8) '\000' in
+  let participations = ref 0 in
+  let point_bits = point_bits_of ldb in
   let routing_header = point_bits + Bitsize.log2_ceil (max 2 n) in
+  let copy_mgr ~i ~x =
+    if x < 0 then root_mgr.(i)
+    else begin
+      if bits_mgr.(x) < 0 then
+        bits_mgr.(x) <- Ldb.manager_of_point ldb (float_of_int x /. float_of_int (1 lsl d'));
+      bits_mgr.(x)
+    end
+  in
+  let dest_of = function
+    | Copy c -> copy_mgr ~i:c.i ~x:c.x
+    | Meet { i; j } ->
+        let key = (min i j * w) + max i j in
+        if pair_mgr.(key) < 0 then
+          pair_mgr.(key) <-
+            Ldb.manager_of_point ldb (Hashing.pair_to_unit_interval hash_pair (min i j) (max i j));
+        pair_mgr.(key)
+    | Ballot { i; j; _ } -> cvnode.((i * w) + j)
+    | Sum { i; parent_mid; _ } -> cvnode.((i * w) + parent_mid)
+  in
   (* Each item additionally ships its destination vnode address. *)
-  let item_bits payload = spayload_bits ldb payload + point_bits + 2 in
-  let boxes : (int, acell) Hashtbl.t array = Array.init n (fun _ -> Hashtbl.create 8) in
-  let boxed = ref 0 in
-  (* full (src,dst) cells awaiting a flush *)
-  let post eng ~src ~point payload =
-    let dest = Route_table.manager rt ~point in
-    let dst = Ldb.owner dest in
-    let it = { adest = dest; apay = payload } in
+  let item_bits it =
+    point_bits + 2
+    +
+    match it with
+    | Copy { i; a; b; x; parent_mid } ->
+        disseminate_bits ~point_bits ~elt_bits:elt_bits.(i) ~i ~a ~b ~x ~parent_mid
+    | Meet { i; j } -> rendezvous_bits ~point_bits ~elt_bits:elt_bits.(i) ~i ~j
+    | Ballot { i; j; smaller; larger } -> vote_bits ~i ~j ~smaller ~larger
+    | Sum { i; parent_mid; smaller; larger } -> child_sum_bits ~i ~parent_mid ~smaller ~larger
+  in
+  let boxes = Array.init n (fun _ -> { obuf = [||]; odst = [||]; olen = 0 }) in
+  let buffered = ref 0 in
+  let post eng ~src it =
+    let dst = Ldb.owner (dest_of it) in
     if dst = src then
       (* Free virtual edge: deliver within the same activation. *)
-      Sync.send eng ~src ~dst { aitems = [ it ]; abits = routing_header + item_bits payload }
+      Sync.send eng ~src ~dst (Local it)
     else begin
-      let buf = boxes.(src) in
-      match Hashtbl.find_opt buf dst with
-      | Some cell ->
-          cell.citems <- it :: cell.citems;
-          cell.cbits <- cell.cbits + item_bits payload
-      | None ->
-          Hashtbl.replace buf dst { citems = [ it ]; cbits = item_bits payload };
-          incr boxed
+      let box = boxes.(src) in
+      let len = box.olen in
+      if len = Array.length box.obuf then begin
+        let cap = max 8 (2 * len) in
+        let grow a fill = Array.append a (Array.make (cap - len) fill) in
+        box.obuf <- grow box.obuf it;
+        box.odst <- grow box.odst 0
+      end;
+      box.obuf.(len) <- it;
+      box.odst.(len) <- dst;
+      box.olen <- len + 1;
+      incr buffered
     end
   in
-  let try_complete eng post tn =
-    if (not tn.t_done) && tn.t_has_own_vote && tn.t_child_sums = tn.t_expected_children then begin
-      tn.t_done <- true;
-      if tn.t_parent_point < 0.0 then Hashtbl.replace orders tn.t_i (tn.t_smaller + 1)
+  (* Add a vote or child sum to copy [c]; once it has all of them, the root
+     yields its representative's order and any other copy reports to its
+     parent. *)
+  let tally eng ~self c ~smaller ~larger what =
+    if cvnode.(c) < 0 then failwith ("Kselect.sorting_stage: " ^ what ^ " for unknown tree node");
+    csmaller.(c) <- csmaller.(c) + smaller;
+    clarger.(c) <- clarger.(c) + larger;
+    cwaiting.(c) <- cwaiting.(c) - 1;
+    if cwaiting.(c) = 0 then begin
+      let i = c / w in
+      if cparent.(c) < 0 then orders.(i) <- csmaller.(c) + 1
       else
-        post eng ~src:(Ldb.owner tn.t_vnode) ~point:tn.t_parent_point
-          (Child_sum
-             {
-               i = tn.t_i;
-               parent_mid = tn.t_parent_mid;
-               smaller = tn.t_smaller;
-               larger = tn.t_larger;
-             })
+        post eng ~src:self
+          (Sum { i; parent_mid = cparent.(c); smaller = csmaller.(c); larger = clarger.(c) })
     end
   in
-  let handle_payload eng final payload =
-    let self = Ldb.owner final in
-    match payload with
-    | Disseminate d ->
+  let handle eng self = function
+    | Copy { i; a; b; x; parent_mid } ->
+        let final = copy_mgr ~i ~x in
         let x =
-          if d.x >= 0 then d.x
-          else
-            min ((1 lsl d') - 1) (int_of_float (Ldb.label ldb final *. float_of_int (1 lsl d')))
+          if x >= 0 then x
+          else min ((1 lsl d') - 1) (int_of_float (Ldb.label ldb final *. float_of_int (1 lsl d')))
         in
-        let mid = (d.a + d.b) / 2 in
-        let left = d.a <= mid - 1 and right = mid + 1 <= d.b in
-        let tn =
-          {
-            t_i = d.i;
-            t_mid = mid;
-            t_elt = d.elt;
-            t_vnode = final;
-            t_point = d.point;
-            t_parent_point = d.parent_point;
-            t_parent_mid = d.parent_mid;
-            t_expected_children = (if left then 1 else 0) + (if right then 1 else 0);
-            t_smaller = 0;
-            t_larger = 0;
-            t_has_own_vote = false;
-            t_child_sums = 0;
-            t_done = false;
-          }
-        in
-        Hashtbl.replace tnodes (d.i, mid) tn;
-        Hashtbl.replace participations (self, d.i) ();
+        let mid = (a + b) / 2 in
+        let left = a <= mid - 1 and right = mid + 1 <= b in
+        let c = (i * w) + mid in
+        cvnode.(c) <- final;
+        cparent.(c) <- parent_mid;
+        cwaiting.(c) <- 1 + (if left then 1 else 0) + if right then 1 else 0;
+        let bit = (self * w) + i in
+        let byte = Char.code (Bytes.get participated (bit lsr 3)) in
+        if byte land (1 lsl (bit land 7)) = 0 then begin
+          Bytes.set participated (bit lsr 3) (Char.chr (byte lor (1 lsl (bit land 7))));
+          incr participations
+        end;
+        (* Spread the copies: prepend 0 / 1 to the bitstring (Phase 2b). *)
         let shifted = x lsr 1 in
-        let hi = 1 lsl (d' - 1) in
-        if left then begin
-          let xl = shifted in
-          post eng ~src:self ~point:(point_of_bits xl)
-            (Disseminate
-               {
-                 i = d.i;
-                 a = d.a;
-                 b = mid - 1;
-                 x = xl;
-                 point = point_of_bits xl;
-                 parent_point = d.point;
-                 parent_mid = mid;
-                 elt = d.elt;
-               })
-        end;
-        if right then begin
-          let xr = shifted lor hi in
-          post eng ~src:self ~point:(point_of_bits xr)
-            (Disseminate
-               {
-                 i = d.i;
-                 a = mid + 1;
-                 b = d.b;
-                 x = xr;
-                 point = point_of_bits xr;
-                 parent_point = d.point;
-                 parent_mid = mid;
-                 elt = d.elt;
-               })
-        end;
-        post eng ~src:self ~point:(pair_point d.i mid)
-          (Rendezvous { i = d.i; j = mid; elt = d.elt; return_point = d.point })
-    | Rendezvous r ->
-        if r.i = r.j then
-          post eng ~src:self ~point:r.return_point
-            (Vote { i = r.i; j = r.j; smaller = 0; larger = 0 })
+        if left then post eng ~src:self (Copy { i; a; b = mid - 1; x = shifted; parent_mid = mid });
+        if right then
+          post eng ~src:self
+            (Copy { i; a = mid + 1; b; x = shifted lor (1 lsl (d' - 1)); parent_mid = mid });
+        (* This node holds copy c_{i,mid}: rendezvous with c_{mid,i}. *)
+        post eng ~src:self (Meet { i; j = mid })
+    | Meet { i; j } ->
+        if i = j then
+          (* A copy paired with itself contributes nothing to the order. *)
+          post eng ~src:self (Ballot { i; j; smaller = 0; larger = 0 })
         else begin
-          let key = (min r.i r.j, max r.i r.j) in
-          match Hashtbl.find_opt rendez key with
-          | None -> Hashtbl.replace rendez key (r.i, r.elt, r.return_point)
-          | Some (i0, elt0, rp0) ->
-              Hashtbl.remove rendez key;
-              let first_smaller = Element.compare elt0 r.elt < 0 in
-              let s0, l0 = if first_smaller then (0, 1) else (1, 0) in
-              let s1, l1 = if first_smaller then (1, 0) else (0, 1) in
-              post eng ~src:self ~point:rp0 (Vote { i = i0; j = r.i; smaller = s0; larger = l0 });
-              post eng ~src:self ~point:r.return_point
-                (Vote { i = r.i; j = i0; smaller = s1; larger = l1 })
+          let key = (min i j * w) + max i j in
+          let i0 = rslot.(key) in
+          if i0 = 0 then rslot.(key) <- i
+          else begin
+            rslot.(key) <- 0;
+            (* c_{i0,i} and c_{i,i0} meet here; compare priorities (total
+               order) and report who saw a smaller element. *)
+            let s0 = if Element.compare elts.(i0) elts.(i) < 0 then 0 else 1 in
+            post eng ~src:self (Ballot { i = i0; j = i; smaller = s0; larger = 1 - s0 });
+            post eng ~src:self (Ballot { i; j = i0; smaller = 1 - s0; larger = s0 })
+          end
         end
-    | Vote v -> (
-        match Hashtbl.find_opt tnodes (v.i, v.j) with
-        | None -> failwith "Kselect.sorting_stage: vote for unknown tree node"
-        | Some tn ->
-            tn.t_smaller <- tn.t_smaller + v.smaller;
-            tn.t_larger <- tn.t_larger + v.larger;
-            tn.t_has_own_vote <- true;
-            try_complete eng post tn)
-    | Child_sum c -> (
-        match Hashtbl.find_opt tnodes (c.i, c.parent_mid) with
-        | None -> failwith "Kselect.sorting_stage: child sum for unknown tree node"
-        | Some tn ->
-            tn.t_smaller <- tn.t_smaller + c.smaller;
-            tn.t_larger <- tn.t_larger + c.larger;
-            tn.t_child_sums <- tn.t_child_sums + 1;
-            try_complete eng post tn)
+    | Ballot { i; j; smaller; larger } -> tally eng ~self ((i * w) + j) ~smaller ~larger "vote"
+    | Sum { i; parent_mid; smaller; larger } ->
+        tally eng ~self ((i * w) + parent_mid) ~smaller ~larger "child sum"
   in
-  let handler eng ~dst:_ ~src:_ msg = List.iter (fun it -> handle_payload eng it.adest it.apay) msg.aitems in
+  let handler eng ~dst ~src:_ = function
+    | Local it -> handle eng dst it
+    | Combined m ->
+        for p = m.off to m.off + m.len - 1 do
+          handle eng dst m.items.(p)
+        done
+  in
+  (* Per-stage scratch for grouping one outbox by destination: the distinct
+     destinations, and per destination its item count (then fill cursor)
+     and bits. *)
+  let dsts = Array.make n 0 and count = Array.make n 0 and cbits = Array.make n 0 in
   let activate eng node =
-    let buf = boxes.(node) in
-    if Hashtbl.length buf > 0 then begin
-      let cells = Hashtbl.fold (fun dst cell acc -> (dst, cell) :: acc) buf [] in
-      let cells = List.sort (fun (a, _) (b, _) -> Int.compare a b) cells in
-      Hashtbl.reset buf;
-      List.iter
-        (fun (dst, cell) ->
-          decr boxed;
-          let items = List.rev cell.citems in
-          let items =
-            if !unsafe_misaggregate_votes then
-              match items with
-              | { adest; apay = Vote { i; j; smaller; larger } } :: (_ :: _ as rest) ->
-                  { adest; apay = Vote { i; j; smaller = larger; larger = smaller } } :: rest
-              | _ -> items
-            else items
-          in
-          Sync.send eng ~src:node ~dst { aitems = items; abits = routing_header + cell.cbits })
-        cells
+    let box = boxes.(node) in
+    let len = box.olen in
+    if len > 0 then begin
+      (* Distinct destinations, kept ascending by insertion: a node's
+         outbox reaches only a handful of them per round. *)
+      let nd = ref 0 in
+      for p = 0 to len - 1 do
+        let d = box.odst.(p) in
+        if count.(d) = 0 then begin
+          let q = ref !nd in
+          while !q > 0 && dsts.(!q - 1) > d do
+            dsts.(!q) <- dsts.(!q - 1);
+            decr q
+          done;
+          dsts.(!q) <- d;
+          incr nd
+        end;
+        count.(d) <- count.(d) + 1;
+        cbits.(d) <- cbits.(d) + item_bits box.obuf.(p)
+      done;
+      (* Counting sort into one array, stable so each slice keeps post
+         order; [count.(d)] becomes d's fill cursor, then its slice end. *)
+      let off = ref 0 in
+      for q = 0 to !nd - 1 do
+        let d = dsts.(q) in
+        let c = count.(d) in
+        count.(d) <- !off;
+        off := !off + c
+      done;
+      let items = Array.make len box.obuf.(0) in
+      for p = 0 to len - 1 do
+        let d = box.odst.(p) in
+        items.(count.(d)) <- box.obuf.(p);
+        count.(d) <- count.(d) + 1
+      done;
+      box.olen <- 0;
+      buffered := !buffered - len;
+      let off = ref 0 in
+      for q = 0 to !nd - 1 do
+        let d = dsts.(q) in
+        let stop = count.(d) in
+        (if !unsafe_misaggregate_votes && stop - !off >= 2 then
+           match items.(!off) with
+           | Ballot { i; j; smaller; larger } ->
+               items.(!off) <- Ballot { i; j; smaller = larger; larger = smaller }
+           | _ -> ());
+        Sync.send eng ~src:node ~dst:d
+          (Combined { items; off = !off; len = stop - !off; abits = routing_header + cbits.(d) });
+        count.(d) <- 0;
+        cbits.(d) <- 0;
+        off := stop
+      done
     end
   in
-  let eng =
-    Sync.create ~n ~size_bits:(fun m -> m.abits) ~handler ~activate ?trace ?faults ?sched ()
+  let size_bits = function
+    | Local it -> routing_header + item_bits it
+    | Combined m -> m.abits
   in
+  let eng = Sync.create ~n ~size_bits ~handler ~activate ?trace ?faults ?sched () in
+  (* Kick off: every chosen representative is routed to the node responsible
+     for its position; that node becomes the root v_i of copy tree T(v_i). *)
   Array.iteri
     (fun node pairs ->
       List.iter
-        (fun (pos, elt) ->
-          post eng ~src:node ~point:(pos_point pos)
-            (Disseminate
-               {
-                 i = pos;
-                 a = 1;
-                 b = n';
-                 x = -1;
-                 point = pos_point pos;
-                 parent_point = -1.0;
-                 parent_mid = -1;
-                 elt;
-               }))
+        (fun (pos, _) ->
+          post eng ~src:node (Copy { i = pos; a = 1; b = n'; x = -1; parent_mid = -1 }))
         pairs)
     reps;
   (* [run_to_quiescence] would stop while combined messages still sit in the
      outboxes (they are not in flight until an activation flushes them), so
      the stage drives rounds itself. *)
   let rounds = ref 0 in
-  while !boxed > 0 || Sync.pending eng > 0 || Sync.unacked eng > 0 do
+  while !buffered > 0 || Sync.pending eng > 0 || Sync.unacked eng > 0 do
     if !rounds >= 200_000 then failwith "Kselect.sorting_stage: exceeded round budget";
     Sync.step eng;
     incr rounds
   done;
   let stage_report = report_of_engine !rounds (Sync.metrics eng) in
   add_report stage_report;
-  Dpq_obs.Trace.phase_end trace ~span ~name:"kselect-sort"
-    ~rounds:stage_report.Phase.rounds ~messages:stage_report.Phase.messages
-    ~max_congestion:stage_report.Phase.max_congestion
-    ~max_message_bits:stage_report.Phase.max_message_bits
-    ~total_bits:stage_report.Phase.total_bits;
-  (orders_to_array ~n' ~elt_of_pos orders, Hashtbl.length participations)
+  phase_end trace ~span stage_report;
+  (orders_to_array ~elts orders, !participations)
 
 (* ------------------------------------------------------------------------ *)
 (* The full protocol.                                                        *)
@@ -853,10 +914,9 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(delta_factor = 1.0) ?(impl : impl =
     }
   in
   let aggregated = impl = `Aggregated in
-  let rt = Route_table.create ldb in
   let sorting_stage ~reps ~n' =
     if aggregated then
-      sorting_stage_aggregated ~trace ~faults ~sched ~rt ~hash_pos:st.hash_pos
+      sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos:st.hash_pos
         ~hash_pair:st.hash_pair ~reps ~n' ~add_report:(add_report st)
     else
       sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos:st.hash_pos

@@ -94,7 +94,7 @@ val select :
 
     [impl] selects the sorting-stage wire format.  [`Aggregated] (default)
     addresses every copy-tree / rendezvous / vote payload directly to its
-    destination's manager through a per-run route table and flushes ONE
+    destination's manager, resolved once per sorting stage, and flushes ONE
     combined vector message per (src, dst) pair per round; it also skips
     Phases 1–2 outright for batches no larger than the Phase-2 stopping
     threshold.  [`Pairwise] is the pre-optimization protocol — every payload

@@ -26,10 +26,6 @@ let rank_in e all =
   in
   go 1 sorted
 
-let bits_of_int v =
-  let v = abs v in
-  let rec go acc v = if v = 0 then max acc 1 else go (acc + 1) (v lsr 1) in
-  go 0 v
-
 let encoded_bits e =
-  bits_of_int e.prio + bits_of_int e.origin + bits_of_int e.seq + bits_of_int e.payload
+  Bitsize.bits_of_int e.prio + Bitsize.bits_of_int e.origin + Bitsize.bits_of_int e.seq
+  + Bitsize.bits_of_int e.payload

@@ -413,6 +413,162 @@ let test_rounds_per_log_constant () =
     true
     (mx <= 2.5 *. mn)
 
+(* ------------------------------------------------------ golden figures *)
+
+module Fault_plan = Dpq_simrt.Fault_plan
+module Sched = Dpq_simrt.Sched
+
+(* Every simulated figure of KSelect pinned on a small grid: n in
+   {8, 32, 128} with one seeded element set each, k in {m/4, m/2, m},
+   fault-free, under two crash plans and under three adversarial
+   schedulers.  The rows were recorded with the hashtable-based sorting
+   stage that the flat-array one replaced, so any change to its wire
+   order, bits or rounds moves one of them, including the path where a
+   crashed node keeps its outbox until it comes back up.  On a mismatch the
+   test prints the whole table as it now stands, in the syntax below. *)
+let golden_conditions ~n =
+  let sched p () = (None, Some (Sched.create ~seed:5 p)) in
+  [
+    ("fifo", fun () -> (None, None));
+    ( "faults",
+      fun () ->
+        let spec = "drop=0.1,dup=0.05,crash=3@5-60,crash=7@30-200" in
+        (Some (Fault_plan.of_string ~seed:5 spec), None) );
+    (* The crash windows above end before the first sorting stage starts.
+       These open one and two ticks into it (it starts at tick 80, 154 and
+       275 at n = 8, 32 and 128): the stage fills outboxes every other
+       round, so some of nodes 1-4 go down with items still in their
+       outboxes and must flush them once they are back up. *)
+    ( "crash-sort",
+      fun () ->
+        let start = List.assoc n [ (8, 80); (32, 154); (128, 275) ] in
+        let window node =
+          Printf.sprintf "crash=%d@%d-%d" node (start + 2 - (node mod 2)) (start + 16)
+        in
+        let spec = String.concat "," (List.map window [ 1; 2; 3; 4 ]) in
+        (Some (Fault_plan.of_string ~seed:5 spec), None) );
+    ("shuffle", sched (Sched.Shuffle { burst = 3; starvation = 0.1 }));
+    ("crossing", sched Sched.Crossing_pairs);
+    ("bias", sched (Sched.Channel_bias { src = Some 1; dst = None; factor = 3 }));
+  ]
+
+let golden_rows () =
+  List.concat_map
+    (fun n ->
+      let rng = Dpq_util.Rng.create ~seed:(1000 + n) in
+      let tree = tree_of ~n ~seed:2 in
+      let elements = uniform_elements ~rng ~n ~per_node:8 ~prio_range:100_000 in
+      let all = Array.to_list elements |> List.concat in
+      let m = List.length all in
+      List.concat_map
+        (fun k ->
+          List.map
+            (fun (name, mk) ->
+              let faults, sched = mk () in
+              let r = K.select ~seed:3 ?faults ?sched ~tree ~elements ~k () in
+              checkb
+                (Printf.sprintf "n=%d k=%d %s selects the right element" n k name)
+                true
+                (E.equal r.K.element (K.select_seq all ~k));
+              let e = r.K.element and p = r.K.report in
+              Printf.sprintf "n=%d k=%d %s: %d.%d.%d r=%d m=%d c=%d mb=%d b=%d l=%d bn=%d t=%.17g"
+                n k name (E.prio e) e.E.origin e.E.seq p.Phase.rounds p.Phase.messages
+                p.Phase.max_congestion p.Phase.max_message_bits p.Phase.total_bits
+                p.Phase.local_deliveries p.Phase.busiest_node_load
+                r.K.diagnostics.K.mean_trees_per_node)
+            (golden_conditions ~n))
+        [ m / 4; m / 2; m ])
+    [ 8; 32; 128 ]
+
+let golden_expected =
+  [
+    "n=8 k=16 fifo: 29170.2.0 r=99 m=278 c=7 mb=2128 b=42892 l=597 bn=58 t=12.25";
+    "n=8 k=16 faults: 29170.2.0 r=350 m=440 c=11 mb=1237 b=58870 l=597 bn=113 t=12.25";
+    "n=8 k=16 crash-sort: 29170.2.0 r=138 m=318 c=9 mb=1585 b=53746 l=597 bn=72 t=12.25";
+    "n=8 k=16 shuffle: 29170.2.0 r=112 m=315 c=7 mb=2128 b=43225 l=597 bn=71 t=12.25";
+    "n=8 k=16 crossing: 29170.2.0 r=99 m=278 c=7 mb=2128 b=42892 l=597 bn=58 t=12.25";
+    "n=8 k=16 bias: 29170.2.0 r=123 m=361 c=6 mb=1746 b=43639 l=597 bn=84 t=12.25";
+    "n=8 k=32 fifo: 49181.2.7 r=99 m=267 c=7 mb=1454 b=35239 l=528 bn=53 t=11";
+    "n=8 k=32 faults: 49181.2.7 r=326 m=351 c=8 mb=1318 b=47578 l=528 bn=85 t=11";
+    "n=8 k=32 crash-sort: 49181.2.7 r=138 m=317 c=16 mb=1302 b=46150 l=528 bn=67 t=11";
+    "n=8 k=32 shuffle: 49181.2.7 r=113 m=286 c=6 mb=1454 b=35410 l=528 bn=60 t=11";
+    "n=8 k=32 crossing: 49181.2.7 r=99 m=267 c=7 mb=1454 b=35239 l=528 bn=53 t=11";
+    "n=8 k=32 bias: 49181.2.7 r=123 m=329 c=6 mb=1454 b=35797 l=528 bn=77 t=11";
+    "n=8 k=64 fifo: 99636.7.1 r=95 m=212 c=6 mb=1526 b=21906 l=385 bn=46 t=7.625";
+    "n=8 k=64 faults: 99636.7.1 r=329 m=262 c=7 mb=1107 b=31002 l=385 bn=65 t=7.625";
+    "n=8 k=64 crash-sort: 99636.7.1 r=134 m=248 c=10 mb=1336 b=30414 l=385 bn=58 t=7.625";
+    "n=8 k=64 shuffle: 99636.7.1 r=109 m=246 c=6 mb=1526 b=22212 l=385 bn=57 t=7.625";
+    "n=8 k=64 crossing: 99636.7.1 r=95 m=212 c=6 mb=1526 b=21906 l=385 bn=46 t=7.625";
+    "n=8 k=64 bias: 99636.7.1 r=119 m=261 c=6 mb=1526 b=22347 l=385 bn=66 t=7.625";
+    "n=32 k=64 fifo: 25389.25.4 r=391 m=3396 c=22 mb=1432 b=279095 l=2393 bn=246 t=7.25";
+    "n=32 k=64 faults: 25389.25.4 r=1239 m=4093 c=16 mb=1282 b=424619 l=2393 bn=334 t=7.25";
+    "n=32 k=64 crash-sort: 25389.25.4 r=442 m=3444 c=22 mb=1465 b=393467 l=2393 bn=258 t=7.25";
+    "n=32 k=64 shuffle: 25389.25.4 r=431 m=3888 c=20 mb=1277 b=286475 l=2393 bn=297 t=7.25";
+    "n=32 k=64 crossing: 25389.25.4 r=391 m=3396 c=22 mb=1432 b=279095 l=2393 bn=246 t=7.25";
+    "n=32 k=64 bias: 25389.25.4 r=472 m=3589 c=21 mb=1283 b=281990 l=2393 bn=265 t=7.25";
+    "n=32 k=128 fifo: 52134.3.7 r=391 m=3226 c=22 mb=1396 b=258161 l=2327 bn=231 t=6.770833333333333";
+    "n=32 k=128 faults: 52134.3.7 r=1199 m=3809 c=14 mb=1156 b=392603 l=2327 bn=300 t=6.770833333333333";
+    "n=32 k=128 crash-sort: 52134.3.7 r=442 m=3348 c=22 mb=1429 b=370475 l=2327 bn=246 t=6.770833333333333";
+    "n=32 k=128 shuffle: 52134.3.7 r=434 m=3584 c=18 mb=1265 b=263531 l=2327 bn=275 t=6.770833333333333";
+    "n=32 k=128 crossing: 52134.3.7 r=391 m=3226 c=22 mb=1396 b=258161 l=2327 bn=231 t=6.770833333333333";
+    "n=32 k=128 bias: 52134.3.7 r=469 m=3318 c=21 mb=1396 b=259541 l=2327 bn=239 t=6.770833333333333";
+    "n=32 k=256 fifo: 99881.0.2 r=274 m=1605 c=18 mb=955 b=105601 l=1368 bn=119 t=4.21875";
+    "n=32 k=256 faults: 99881.0.2 r=910 m=1771 c=12 mb=988 b=166534 l=1368 bn=151 t=4.21875";
+    "n=32 k=256 crash-sort: 99881.0.2 r=317 m=1701 c=13 mb=848 b=163174 l=1368 bn=137 t=4.21875";
+    "n=32 k=256 shuffle: 99881.0.2 r=305 m=1726 c=11 mb=811 b=107416 l=1368 bn=140 t=4.21875";
+    "n=32 k=256 crossing: 99881.0.2 r=274 m=1605 c=18 mb=955 b=105601 l=1368 bn=119 t=4.21875";
+    "n=32 k=256 bias: 99881.0.2 r=334 m=1718 c=16 mb=815 b=107296 l=1368 bn=141 t=4.21875";
+    "n=128 k=256 fifo: 24225.72.7 r=868 m=19967 c=60 mb=3362 b=2011144 l=10782 bn=621 t=8.513671875";
+    "n=128 k=256 faults: 24225.72.7 r=2339 m=23466 c=37 mb=3312 b=2859001 l=10782 bn=824 t=8.513671875";
+    "n=128 k=256 crash-sort: 24225.72.7 r=931 m=20430 c=60 mb=3395 b=2695057 l=10782 bn=639 t=8.513671875";
+    "n=128 k=256 shuffle: 24225.72.7 r=992 m=22238 c=41 mb=2357 b=2058835 l=10782 bn=742 t=8.513671875";
+    "n=128 k=256 crossing: 24225.72.7 r=868 m=19967 c=60 mb=3362 b=2011144 l=10782 bn=621 t=8.513671875";
+    "n=128 k=256 bias: 24225.72.7 r=883 m=20375 c=60 mb=3362 b=2019712 l=10782 bn=646 t=8.513671875";
+    "n=128 k=512 fifo: 50736.126.6 r=868 m=17251 c=49 mb=2480 b=1636976 l=10115 bn=542 t=7.07421875";
+    "n=128 k=512 faults: 50736.126.6 r=2137 m=19917 c=27 mb=2076 b=2350223 l=10115 bn=693 t=7.07421875";
+    "n=128 k=512 crash-sort: 50736.126.6 r=931 m=17763 c=46 mb=2513 b=2233907 l=10115 bn=559 t=7.07421875";
+    "n=128 k=512 shuffle: 50736.126.6 r=984 m=19129 c=40 mb=1803 b=1676414 l=10115 bn=647 t=7.07421875";
+    "n=128 k=512 crossing: 50736.126.6 r=868 m=17251 c=49 mb=2480 b=1636976 l=10115 bn=542 t=7.07421875";
+    "n=128 k=512 bias: 50736.126.6 r=880 m=17551 c=48 mb=2480 b=1643276 l=10115 bn=548 t=7.07421875";
+    "n=128 k=1024 fifo: 99906.89.4 r=670 m=11959 c=49 mb=2126 b=1112074 l=7735 bn=376 t=6.25";
+    "n=128 k=1024 faults: 99906.89.4 r=1687 m=13761 c=25 mb=2159 b=1604029 l=7735 bn=481 t=6.25";
+    "n=128 k=1024 crash-sort: 99906.89.4 r=725 m=12497 c=49 mb=2159 b=1535773 l=7735 bn=397 t=6.25";
+    "n=128 k=1024 shuffle: 99906.89.4 r=762 m=13122 c=29 mb=2126 b=1136497 l=7735 bn=429 t=6.25";
+    "n=128 k=1024 crossing: 99906.89.4 r=670 m=11959 c=49 mb=2126 b=1112074 l=7735 bn=376 t=6.25";
+    "n=128 k=1024 bias: 99906.89.4 r=679 m=12353 c=48 mb=2126 b=1120348 l=7735 bn=391 t=6.25";
+  ]
+
+let test_golden_figures () =
+  let rows = golden_rows () in
+  if rows <> golden_expected then
+    List.iter (fun r -> Printf.eprintf "    %S;\n" r) rows;
+  Alcotest.(check (list string)) "every figure as recorded" golden_expected rows
+
+(* Allocation regression: minor words per reported KSelect message, at one
+   candidate per node and k = m/2.  The count is deterministic for a fixed
+   seed.  The bound of 75 sits between the ~40 words the sorting stage's
+   flat per-stage arrays cost and the ~100 that per-node outbox hashtables
+   and tuple-keyed copy and rendezvous tables cost. *)
+let test_words_per_message () =
+  let per_msg n =
+    let rng = Dpq_util.Rng.create ~seed:(n + 7) in
+    let tree = tree_of ~n ~seed:2 in
+    let elements = uniform_elements ~rng ~n ~per_node:1 ~prio_range:1_000_000 in
+    let k = n / 2 in
+    let before = Gc.minor_words () in
+    let r = K.select ~seed:3 ~tree ~elements ~k () in
+    let words = Gc.minor_words () -. before in
+    let all = Array.to_list elements |> List.concat in
+    checkb "selects the right element" true (E.equal r.K.element (K.select_seq all ~k));
+    (n, words /. float_of_int r.K.report.Phase.messages)
+  in
+  let ws = List.map per_msg [ 256; 1024 ] in
+  checkb
+    (String.concat ", " (List.map (fun (n, w) -> Printf.sprintf "n=%d: %.1f" n w) ws)
+    ^ " minor words per message, each <= 75")
+    true
+    (List.for_all (fun (_, w) -> w <= 75.0) ws)
+
 let () =
   Alcotest.run "dpq_kselect"
     [
@@ -452,5 +608,10 @@ let () =
           Alcotest.test_case "planted misaggregation caught" `Quick
             test_planted_misaggregation_caught;
           Alcotest.test_case "phase-1 hint reuse" `Quick test_phase1_hint_reuse;
+        ] );
+      ( "figures",
+        [
+          Alcotest.test_case "golden figures" `Quick test_golden_figures;
+          Alcotest.test_case "minor words per message" `Quick test_words_per_message;
         ] );
     ]

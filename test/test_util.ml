@@ -427,6 +427,28 @@ let test_element_rank () =
   checki "tiebreak rank" 2 (Element.rank_in (mk 1 1) all);
   checki "rank of largest" 4 (Element.rank_in (mk 3 0) all)
 
+(* [Element.encoded_bits] sums the chunked [Bitsize.bits_of_int] over the
+   four fields; the reference counts each field's bits one at a time. *)
+let prop_encoded_bits_reference =
+  let ref_bits v =
+    let v = abs v in
+    let rec go acc v = if v = 0 then max acc 1 else go (acc + 1) (v lsr 1) in
+    go 0 v
+  in
+  let field =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, oneofl [ 0; 1; -1; max_int; min_int; min_int + 1 ]);
+          (4, map2 (fun w v -> v asr (62 - w)) (0 -- 62) int);
+        ])
+  in
+  QCheck.Test.make ~name:"encoded_bits matches a bit-loop reference" ~count:1000
+    (QCheck.make QCheck.Gen.(quad field field field field))
+    (fun (prio, origin, seq, payload) ->
+      Element.encoded_bits (Element.make ~prio ~origin ~seq ~payload ())
+      = ref_bits prio + ref_bits origin + ref_bits seq + ref_bits payload)
+
 (* --------------------------------------------------------------- Table *)
 
 let contains_substring hay needle =
@@ -524,6 +546,7 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_element_order;
           Alcotest.test_case "rank" `Quick test_element_rank;
+          QCheck_alcotest.to_alcotest prop_encoded_bits_reference;
         ] );
       ( "table",
         [
