@@ -63,58 +63,59 @@ let report_of_metrics m rounds =
 let header_bits tree =
   2 * Dpq_util.Bitsize.bits_of_nat_bound (max 1 ((3 * Aggtree.n tree) - 1))
 
-type 'a memo = { own : 'a array; child_aggs : (Ldb.vnode * 'a) list array }
+(* Every phase puts only a vnode id on the wire; the value in flight sits in
+   a per-phase slot indexed by that id, written once just before the single
+   message that vnode sends (up) or receives (down) in the phase.  A
+   handler writes only slots that its own later sends read, so faults,
+   schedulers and domain-parallel rounds see exactly the sends, order and
+   bits that carrying the value itself would give (DESIGN.md §13). *)
+
+type 'a memo = { tree : Aggtree.t; own : 'a array; sub : 'a array }
 
 let memo_parts memo v =
-  memo.own.(v) :: List.map snd memo.child_aggs.(v)
-
-type 'a tree_msg = { to_v : Ldb.vnode; from_v : Ldb.vnode; value : 'a }
+  memo.own.(v) :: List.map (fun c -> memo.sub.(c)) (Aggtree.children memo.tree v)
 
 let up ?trace ?faults ?sched ?par ~tree ~local ~combine ~size_bits () =
   let span = Trace.phase_start trace "up" in
-  let ldb = Aggtree.ldb tree in
-  let n = Ldb.n ldb in
+  let n = Aggtree.n tree in
   let nv = 3 * n in
   let header = header_bits tree in
-  let own = Array.init nv (fun v -> local v) in
-  let expected = Array.init nv (fun v -> List.length (Aggtree.children tree v)) in
-  let received = Array.make nv [] in
+  let own = Array.init nv local in
+  (* sub.(v): v's sub-aggregate, written when v completes, before its send *)
+  let sub = Array.copy own in
+  (* children still to report; -1 once the vnode has completed *)
+  let waiting = Array.init nv (fun v -> List.length (Aggtree.children tree v)) in
   let result = ref None in
-  let complete = Array.make nv false in
-  let rec on_complete eng v =
-    (* All child sub-aggregates are in: combine in deterministic order
-       (own value first, then children by label) and pass upward. *)
-    complete.(v) <- true;
-    let ordered =
-      List.map
-        (fun c ->
-          match List.assoc_opt c received.(v) with
-          | Some x -> x
-          | None -> failwith "Phase.up: missing child aggregate")
-        (Aggtree.children tree v)
-    in
-    let total = List.fold_left combine own.(v) ordered in
+  (* Own value first, then children by label. *)
+  let rec fold acc = function
+    | [] -> acc
+    | c :: cs ->
+        if waiting.(c) >= 0 then failwith "Phase.up: missing child aggregate";
+        fold (combine acc sub.(c)) cs
+  in
+  let complete eng v =
+    let total = fold own.(v) (Aggtree.children tree v) in
+    sub.(v) <- total;
+    waiting.(v) <- -1;
     match Aggtree.parent tree v with
     | None -> result := Some total
-    | Some p ->
-        Sync.send eng ~src:(Ldb.owner v) ~dst:(Ldb.owner p)
-          { to_v = p; from_v = v; value = total }
-  and handler eng ~dst:_ ~src:_ msg =
-    let v = msg.to_v in
-    received.(v) <- (msg.from_v, msg.value) :: received.(v);
-    if (not complete.(v)) && List.length received.(v) = expected.(v) then
-      on_complete eng v
+    | Some p -> Sync.send eng ~src:(Ldb.owner v) ~dst:(Ldb.owner p) v
+  in
+  let handler eng ~dst:_ ~src:_ c =
+    let p = Option.get (Aggtree.parent tree c) in
+    let w = waiting.(p) - 1 in
+    waiting.(p) <- w;
+    if w = 0 then complete eng p
   in
   let eng =
-    Sync.create ~n
-      ~size_bits:(fun m -> header + size_bits m.value)
-      ~handler ?trace ?faults ?sched ?par ()
+    Sync.create ~n ~size_bits:(fun v -> header + size_bits sub.(v)) ~handler ?trace ?faults
+      ?sched ?par ()
   in
   (* Kick off: leaves complete immediately.  Vnodes of removed nodes also
      have no children but are not in the tree — skipping them keeps the
      root's result the only one written. *)
   for v = 0 to nv - 1 do
-    if expected.(v) = 0 && Aggtree.in_tree tree v then on_complete eng v
+    if waiting.(v) = 0 && Aggtree.in_tree tree v then complete eng v
   done;
   let rounds = Sync.run_to_quiescence eng in
   let value =
@@ -122,40 +123,41 @@ let up ?trace ?faults ?sched ?par ~tree ~local ~combine ~size_bits () =
     | Some v -> v
     | None -> failwith "Phase.up: aggregation did not reach the anchor"
   in
-  let memo = { own; child_aggs = Array.init nv (fun v ->
-      List.map (fun c -> (c, List.assoc c received.(v))) (Aggtree.children tree v)) }
-  in
   let report = report_of_metrics (Sync.metrics eng) rounds in
   trace_phase_end trace span "up" report;
-  (value, memo, report)
+  (value, { tree; own; sub }, report)
 
 let down ?trace ?faults ?sched ?par ~tree ~memo ~root_payload ~split ~size_bits () =
   let span = Trace.phase_start trace "down" in
-  let ldb = Aggtree.ldb tree in
-  let n = Ldb.n ldb in
+  let n = Aggtree.n tree in
   let nv = 3 * n in
   let header = header_bits tree in
   let retained = Array.make nv None in
-  let rec handle eng v payload =
-    let children = Aggtree.children tree v in
+  (* inflight.(c): the piece c's parent forwards to it *)
+  let inflight = Array.make nv root_payload in
+  let rec forward eng v children pieces =
+    match (children, pieces) with
+    | c :: cs, piece :: ps ->
+        inflight.(c) <- piece;
+        Sync.send eng ~src:(Ldb.owner v) ~dst:(Ldb.owner c) c;
+        forward eng v cs ps
+    | _ -> ()
+  in
+  let handle eng v payload =
     let parts = memo_parts memo v in
     let pieces = split ~parts payload in
     if List.length pieces <> List.length parts then
       failwith "Phase.down: split returned wrong arity";
-    (match pieces with
+    match pieces with
     | [] -> failwith "Phase.down: empty split"
     | mine :: rest ->
         retained.(v) <- Some mine;
-        List.iter2
-          (fun c piece ->
-            Sync.send eng ~src:(Ldb.owner v) ~dst:(Ldb.owner c)
-              { to_v = c; from_v = v; value = piece })
-          children rest)
-  and handler eng ~dst:_ ~src:_ msg = handle eng msg.to_v msg.value in
+        forward eng v (Aggtree.children tree v) rest
+  in
+  let handler eng ~dst:_ ~src:_ c = handle eng c inflight.(c) in
   let eng =
-    Sync.create ~n
-      ~size_bits:(fun m -> header + size_bits m.value)
-      ~handler ?trace ?faults ?sched ?par ()
+    Sync.create ~n ~size_bits:(fun c -> header + size_bits inflight.(c)) ~handler ?trace
+      ?faults ?sched ?par ()
   in
   handle eng (Aggtree.root tree) root_payload;
   let rounds = Sync.run_to_quiescence eng in
@@ -165,22 +167,20 @@ let down ?trace ?faults ?sched ?par ~tree ~memo ~root_payload ~split ~size_bits 
 
 let broadcast ?trace ?faults ?sched ?par ~tree ~payload ~size_bits () =
   let span = Trace.phase_start trace "broadcast" in
-  let ldb = Aggtree.ldb tree in
-  let n = Ldb.n ldb in
-  let header = header_bits tree in
-  let rec handle eng v payload =
-    List.iter
-      (fun c ->
-        Sync.send eng ~src:(Ldb.owner v) ~dst:(Ldb.owner c)
-          { to_v = c; from_v = v; value = payload })
-      (Aggtree.children tree v)
-  and handler eng ~dst:_ ~src:_ msg = handle eng msg.to_v msg.value in
-  let eng =
-    Sync.create ~n
-      ~size_bits:(fun m -> header + size_bits m.value)
-      ~handler ?trace ?faults ?sched ?par ()
+  let bits = header_bits tree + size_bits payload in
+  let rec announce eng v = function
+    | [] -> ()
+    | c :: cs ->
+        Sync.send eng ~src:(Ldb.owner v) ~dst:(Ldb.owner c) c;
+        announce eng v cs
   in
-  handle eng (Aggtree.root tree) payload;
+  let handler eng ~dst:_ ~src:_ v = announce eng v (Aggtree.children tree v) in
+  let eng =
+    Sync.create ~n:(Aggtree.n tree) ~size_bits:(fun _ -> bits) ~handler ?trace ?faults ?sched
+      ?par ()
+  in
+  let root = Aggtree.root tree in
+  announce eng root (Aggtree.children tree root);
   let rounds = Sync.run_to_quiescence eng in
   let report = report_of_metrics (Sync.metrics eng) rounds in
   trace_phase_end trace span "broadcast" report;

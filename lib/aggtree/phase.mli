@@ -36,7 +36,10 @@ val pp_report : Format.formatter -> report -> unit
 type 'a memo
 (** What every virtual node memorizes during an up pass: its own
     contribution and each child's sub-aggregate, in combine order
-    (own first, then children in label order). *)
+    (own first, then children in label order).  It holds the tree and two
+    per-vnode arrays, own values and sub-aggregates; a child's
+    sub-aggregate is the slot the up pass read it from, since the wire
+    carried only the child's id (DESIGN.md §13). *)
 
 val memo_parts : 'a memo -> Dpq_overlay.Ldb.vnode -> 'a list
 (** The ordered parts at a vnode (own value first). *)

@@ -108,18 +108,16 @@ type batch = {
   mutable bpbits : int array; (* rid -> payload bits *)
   mutable bpay : payload array; (* rid -> payload *)
   mutable nroutes : int;
-  brt : Route_table.t; (* per-batch route memo: reply/replica paths repeat *)
 }
 
 let dummy_payload = P_confirm { origin = 0; key = 0 }
 
-let batch_create ~ldb () =
+let batch_create () =
   {
     bpaths = Array.make 64 [||];
     bpbits = Array.make 64 0;
     bpay = Array.make 64 dummy_payload;
     nroutes = 0;
-    brt = Route_table.create ldb;
   }
 
 let grow a fill =
@@ -239,7 +237,7 @@ let backup_unpark t r key origin =
 (* Route a payload from [src_vnode] to the manager of [point].  [send]
    abstracts over the engine. *)
 let route_via t b ~send ~src_vnode ~point payload =
-  let path = Route_table.path b.brt ~src:src_vnode ~point in
+  let path = Ldb.route_array t.ldb ~src:src_vnode ~point in
   let pbits = payload_bits t payload in
   let rid = batch_add b path pbits payload in
   if Array.length path <= 1 then
@@ -331,7 +329,7 @@ let run_batch_sync ?trace ?faults ?sched t ops =
   trace_ops trace t ops;
   let completions = ref [] in
   let complete c = completions := c :: !completions in
-  let b = batch_create ~ldb:t.ldb () in
+  let b = batch_create () in
   (* One [send] closure for the whole batch (routed through a ref to break
      the engine/handler cycle): the old per-delivery lambda was a
      measurable allocation on every forwarded hop. *)
@@ -367,7 +365,7 @@ let run_batch_async ?trace ?faults ?sched t ~seed ?(policy = Dpq_simrt.Async_eng
   trace_ops trace t ops;
   let completions = ref [] in
   let complete c = completions := c :: !completions in
-  let b = batch_create ~ldb:t.ldb () in
+  let b = batch_create () in
   let send_ref = ref (fun ~src:_ ~dst:_ _ -> assert false) in
   let send ~src ~dst m = !send_ref ~src ~dst m in
   let handler _eng ~dst:_ ~src:_ w = handle t b ~send ~complete w in

@@ -8,9 +8,12 @@ type t = {
   mutable max_congestion : int;
   node_load : int array;
   (* congestion tracking: per-node count for the round currently being
-     filled; flushed whenever the round advances. *)
+     filled, and the destinations whose count became nonzero in it (each
+     listed once); flushed whenever the round advances. *)
   mutable cur_round : int;
   cur_counts : int array;
+  mutable touched : int array;
+  mutable ntouched : int;
 }
 
 let create ~n =
@@ -25,17 +28,31 @@ let create ~n =
     node_load = Array.make n 0;
     cur_round = -1;
     cur_counts = Array.make n 0;
+    touched = Array.make (min n 16) 0;
+    ntouched = 0;
   }
 
 let n t = t.n
 
+(* The round's maximum lies among the destinations it touched, so only
+   those are visited and zeroed: a round costs its deliveries, not n. *)
 let flush_round t =
-  Array.iteri
-    (fun i c ->
-      if c > t.max_congestion then t.max_congestion <- c;
-      t.cur_counts.(i) <- 0;
-      ignore i)
-    t.cur_counts
+  for i = 0 to t.ntouched - 1 do
+    let d = t.touched.(i) in
+    let c = t.cur_counts.(d) in
+    if c > t.max_congestion then t.max_congestion <- c;
+    t.cur_counts.(d) <- 0
+  done;
+  t.ntouched <- 0
+
+let touch t dst =
+  if t.ntouched = Array.length t.touched then begin
+    let a = Array.make (min t.n (2 * t.ntouched)) 0 in
+    Array.blit t.touched 0 a 0 t.ntouched;
+    t.touched <- a
+  end;
+  t.touched.(t.ntouched) <- dst;
+  t.ntouched <- t.ntouched + 1
 
 let record_delivery t ~round ~dst ~bits =
   if round <> t.cur_round then begin
@@ -47,7 +64,9 @@ let record_delivery t ~round ~dst ~bits =
   t.total_bits <- t.total_bits + bits;
   if bits > t.max_message_bits then t.max_message_bits <- bits;
   t.node_load.(dst) <- t.node_load.(dst) + 1;
-  t.cur_counts.(dst) <- t.cur_counts.(dst) + 1
+  let c = t.cur_counts.(dst) in
+  if c = 0 then touch t dst;
+  t.cur_counts.(dst) <- c + 1
 
 let record_local t = t.local_deliveries <- t.local_deliveries + 1
 let record_locals t ~count = t.local_deliveries <- t.local_deliveries + count
@@ -65,6 +84,7 @@ let max_congestion t =
 let node_load t = Array.copy t.node_load
 
 let reset t =
+  flush_round t;
   t.rounds <- 0;
   t.total_messages <- 0;
   t.total_bits <- 0;
@@ -72,8 +92,7 @@ let reset t =
   t.max_message_bits <- 0;
   t.max_congestion <- 0;
   t.cur_round <- -1;
-  Array.fill t.node_load 0 t.n 0;
-  Array.fill t.cur_counts 0 t.n 0
+  Array.fill t.node_load 0 t.n 0
 
 let merge_max acc t =
   acc.rounds <- acc.rounds + rounds t;

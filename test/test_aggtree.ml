@@ -256,6 +256,168 @@ let test_up_rounds_scale_logarithmically () =
   let r64 = rounds 64 and r4096 = rounds 4096 in
   checkb "log-like growth" true (r4096 < r64 *. 3.5)
 
+(* ------------------------------------------------------ golden figures *)
+
+module Fault_plan = Dpq_simrt.Fault_plan
+module Sched = Dpq_simrt.Sched
+module Pool = Dpq_simrt.Domain_pool
+
+(* One up, one down and one broadcast pinned on a small grid: n in
+   {8, 64, 256}, fault-free, under a drop/dup/crash plan, under three
+   adversarial schedulers and at two domains.  The up combines by list
+   append of vnode ids, so its value pins the combine order; the down splits
+   an interval by those lists' lengths.  Each row holds a digest of the
+   anchor's value, of every vnode's memorized parts and of every retained
+   piece, and all seven report fields.  The rows were recorded with the
+   phases that carried the values on the wire, before payloads moved into
+   per-phase slots.  On a mismatch the test prints the whole table as it now
+   stands, in the syntax below. *)
+let golden_conditions =
+  let sched p () = (None, Some (Sched.create ~seed:5 p), None) in
+  [
+    ("fifo", fun () -> (None, None, None));
+    ( "faults",
+      fun () ->
+        (Some (Fault_plan.of_string ~seed:5 "drop=0.1,dup=0.05,crash=3@2-40"), None, None) );
+    ("shuffle", sched (Sched.Shuffle { burst = 3; starvation = 0.1 }));
+    ("crossing", sched Sched.Crossing_pairs);
+    ("bias", sched (Sched.Channel_bias { src = Some 1; dst = None; factor = 3 }));
+    ("par2", fun () -> (None, None, Some { Pool.pool = Pool.get ~domains:2; shards = 2 }));
+  ]
+
+let digest x = String.sub (Digest.to_hex (Digest.string (Marshal.to_string x []))) 0 12
+
+let report_fields (r : Phase.report) =
+  Printf.sprintf "r=%d m=%d c=%d mb=%d b=%d l=%d bn=%d" r.Phase.rounds r.Phase.messages
+    r.Phase.max_congestion r.Phase.max_message_bits r.Phase.total_bits
+    r.Phase.local_deliveries r.Phase.busiest_node_load
+
+let golden_rows () =
+  List.concat_map
+    (fun n ->
+      let tree = tree_of ~n ~seed:3 in
+      List.concat_map
+        (fun (name, mk) ->
+          let faults, sched, par = mk () in
+          let value, memo, up =
+            Phase.up ?faults ?sched ?par ~tree
+              ~local:(fun v -> [ v ])
+              ~combine:(fun a b -> a @ b)
+              ~size_bits:(fun l -> 16 * List.length l)
+              ()
+          in
+          let parts = Array.map (Phase.memo_parts memo) (Aggtree.vnodes tree) in
+          let retained, down =
+            Phase.down ?faults ?sched ?par ~tree ~memo
+              ~root_payload:(Dpq_util.Interval.make 1 (List.length value))
+              ~split:(fun ~parts iv ->
+                Dpq_util.Interval.split_sizes iv (List.map List.length parts))
+              ~size_bits:(fun iv -> 8 + Dpq_util.Interval.cardinality iv)
+              ()
+          in
+          let pieces =
+            Array.map
+              (Option.map (fun iv -> (Dpq_util.Interval.lo iv, Dpq_util.Interval.hi iv)))
+              retained
+          in
+          let bcast = Phase.broadcast ?faults ?sched ?par ~tree ~payload:n ~size_bits:(fun _ -> 32) () in
+          [
+            Printf.sprintf "n=%d %s up: v=%s memo=%s %s" n name (digest value) (digest parts)
+              (report_fields up);
+            Printf.sprintf "n=%d %s down: pieces=%s %s" n name (digest pieces) (report_fields down);
+            Printf.sprintf "n=%d %s broadcast: %s" n name (report_fields bcast);
+          ])
+        golden_conditions)
+    [ 8; 64; 256 ]
+
+let golden_expected =
+  [
+    "n=8 fifo up: v=fde85e6e8957 memo=b2169c26cf6b r=6 m=7 c=1 mb=346 b=1318 l=16 bn=2";
+    "n=8 fifo down: pieces=38c4b32a8b66 r=6 m=7 c=1 mb=39 b=204 l=16 bn=1";
+    "n=8 fifo broadcast: r=6 m=7 c=1 mb=42 b=294 l=16 bn=1";
+    "n=8 faults up: v=fde85e6e8957 memo=b2169c26cf6b r=66 m=7 c=1 mb=379 b=1549 l=16 bn=2";
+    "n=8 faults down: pieces=38c4b32a8b66 r=10 m=7 c=1 mb=72 b=435 l=16 bn=1";
+    "n=8 faults broadcast: r=18 m=7 c=1 mb=75 b=525 l=16 bn=1";
+    "n=8 shuffle up: v=fde85e6e8957 memo=b2169c26cf6b r=7 m=7 c=1 mb=346 b=1318 l=16 bn=2";
+    "n=8 shuffle down: pieces=38c4b32a8b66 r=8 m=7 c=1 mb=39 b=204 l=16 bn=1";
+    "n=8 shuffle broadcast: r=7 m=7 c=1 mb=42 b=294 l=16 bn=1";
+    "n=8 crossing up: v=fde85e6e8957 memo=b2169c26cf6b r=6 m=7 c=1 mb=346 b=1318 l=16 bn=2";
+    "n=8 crossing down: pieces=38c4b32a8b66 r=6 m=7 c=1 mb=39 b=204 l=16 bn=1";
+    "n=8 crossing broadcast: r=6 m=7 c=1 mb=42 b=294 l=16 bn=1";
+    "n=8 bias up: v=fde85e6e8957 memo=b2169c26cf6b r=9 m=7 c=1 mb=346 b=1318 l=16 bn=2";
+    "n=8 bias down: pieces=38c4b32a8b66 r=9 m=7 c=1 mb=39 b=204 l=16 bn=1";
+    "n=8 bias broadcast: r=9 m=7 c=1 mb=42 b=294 l=16 bn=1";
+    "n=8 par2 up: v=fde85e6e8957 memo=b2169c26cf6b r=6 m=7 c=1 mb=346 b=1318 l=16 bn=2";
+    "n=8 par2 down: pieces=38c4b32a8b66 r=6 m=7 c=1 mb=39 b=204 l=16 bn=1";
+    "n=8 par2 broadcast: r=6 m=7 c=1 mb=42 b=294 l=16 bn=1";
+    "n=64 fifo up: v=252f286090f2 memo=62240b2b12ef r=22 m=63 c=1 mb=3040 b=31680 l=128 bn=2";
+    "n=64 fifo down: pieces=67b58bf03e96 r=22 m=63 c=1 mb=213 b=3429 l=128 bn=1";
+    "n=64 fifo broadcast: r=22 m=63 c=1 mb=48 b=3024 l=128 bn=1";
+    "n=64 faults up: v=252f286090f2 memo=62240b2b12ef r=62 m=63 c=1 mb=3073 b=33759 l=128 bn=2";
+    "n=64 faults down: pieces=67b58bf03e96 r=34 m=63 c=1 mb=246 b=5508 l=128 bn=1";
+    "n=64 faults broadcast: r=50 m=63 c=1 mb=81 b=5103 l=128 bn=1";
+    "n=64 shuffle up: v=252f286090f2 memo=62240b2b12ef r=23 m=63 c=1 mb=3040 b=31680 l=128 bn=2";
+    "n=64 shuffle down: pieces=67b58bf03e96 r=23 m=63 c=1 mb=213 b=3429 l=128 bn=1";
+    "n=64 shuffle broadcast: r=24 m=63 c=1 mb=48 b=3024 l=128 bn=1";
+    "n=64 crossing up: v=252f286090f2 memo=62240b2b12ef r=22 m=63 c=1 mb=3040 b=31680 l=128 bn=2";
+    "n=64 crossing down: pieces=67b58bf03e96 r=22 m=63 c=1 mb=213 b=3429 l=128 bn=1";
+    "n=64 crossing broadcast: r=22 m=63 c=1 mb=48 b=3024 l=128 bn=1";
+    "n=64 bias up: v=252f286090f2 memo=62240b2b12ef r=25 m=63 c=1 mb=3040 b=31680 l=128 bn=2";
+    "n=64 bias down: pieces=67b58bf03e96 r=25 m=63 c=1 mb=213 b=3429 l=128 bn=1";
+    "n=64 bias broadcast: r=25 m=63 c=1 mb=48 b=3024 l=128 bn=1";
+    "n=64 par2 up: v=252f286090f2 memo=62240b2b12ef r=22 m=63 c=1 mb=3040 b=31680 l=128 bn=2";
+    "n=64 par2 down: pieces=67b58bf03e96 r=22 m=63 c=1 mb=213 b=3429 l=128 bn=1";
+    "n=64 par2 broadcast: r=22 m=63 c=1 mb=48 b=3024 l=128 bn=1";
+    "n=256 fifo up: v=2b1709d8fcf9 memo=3b3a73181eb6 r=27 m=255 c=2 mb=12260 b=173148 l=512 bn=2";
+    "n=256 fifo down: pieces=26ca25d68b85 r=27 m=255 c=1 mb=793 b=17643 l=512 bn=1";
+    "n=256 fifo broadcast: r=27 m=255 c=1 mb=52 b=13260 l=512 bn=1";
+    "n=256 faults up: v=2b1709d8fcf9 memo=3b3a73181eb6 r=144 m=255 c=2 mb=12293 b=181563 l=512 bn=2";
+    "n=256 faults down: pieces=26ca25d68b85 r=74 m=255 c=1 mb=826 b=26058 l=512 bn=1";
+    "n=256 faults broadcast: r=54 m=255 c=1 mb=85 b=21675 l=512 bn=1";
+    "n=256 shuffle up: v=2b1709d8fcf9 memo=3b3a73181eb6 r=28 m=255 c=2 mb=12260 b=173148 l=512 bn=2";
+    "n=256 shuffle down: pieces=26ca25d68b85 r=29 m=255 c=1 mb=793 b=17643 l=512 bn=1";
+    "n=256 shuffle broadcast: r=31 m=255 c=1 mb=52 b=13260 l=512 bn=1";
+    "n=256 crossing up: v=2b1709d8fcf9 memo=3b3a73181eb6 r=27 m=255 c=2 mb=12260 b=173148 l=512 bn=2";
+    "n=256 crossing down: pieces=26ca25d68b85 r=27 m=255 c=1 mb=793 b=17643 l=512 bn=1";
+    "n=256 crossing broadcast: r=27 m=255 c=1 mb=52 b=13260 l=512 bn=1";
+    "n=256 bias up: v=2b1709d8fcf9 memo=3b3a73181eb6 r=27 m=255 c=2 mb=12260 b=173148 l=512 bn=2";
+    "n=256 bias down: pieces=26ca25d68b85 r=27 m=255 c=1 mb=793 b=17643 l=512 bn=1";
+    "n=256 bias broadcast: r=27 m=255 c=1 mb=52 b=13260 l=512 bn=1";
+    "n=256 par2 up: v=2b1709d8fcf9 memo=3b3a73181eb6 r=27 m=255 c=2 mb=12260 b=173148 l=512 bn=2";
+    "n=256 par2 down: pieces=26ca25d68b85 r=27 m=255 c=1 mb=793 b=17643 l=512 bn=1";
+    "n=256 par2 broadcast: r=27 m=255 c=1 mb=52 b=13260 l=512 bn=1";
+  ]
+
+let test_golden_figures () =
+  let rows = golden_rows () in
+  if rows <> golden_expected then List.iter (fun r -> Printf.eprintf "    %S;\n" r) rows;
+  Alcotest.(check (list string)) "every figure as recorded" golden_expected rows
+
+(* Allocation regression: minor words per vnode of one up and one broadcast
+   with int payloads.  The counts are deterministic for a fixed tree.  The
+   bounds sit between what the vnode-id wire costs (under 3 words per vnode
+   for either) and what a record per message plus assoc-list bookkeeping
+   cost (over 32 for up, over 11 for broadcast). *)
+let test_words_per_vnode () =
+  let per_vnode n =
+    let tree = tree_of ~n ~seed:2 in
+    let nv = float_of_int (3 * n) in
+    let before = Gc.minor_words () in
+    let total, _memo, _ = Phase.up ~tree ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 32) () in
+    let mid = Gc.minor_words () in
+    ignore (Phase.broadcast ~tree ~payload:total ~size_bits:(fun _ -> 32) ());
+    let after = Gc.minor_words () in
+    checki "3n" (3 * n) total;
+    (n, (mid -. before) /. nv, (after -. mid) /. nv)
+  in
+  let ws = List.map per_vnode [ 256; 1024 ] in
+  checkb
+    (String.concat ", "
+       (List.map (fun (n, u, b) -> Printf.sprintf "n=%d: up %.1f, broadcast %.1f" n u b) ws)
+    ^ " minor words per vnode, up <= 16 and broadcast <= 9")
+    true
+    (List.for_all (fun (_, u, b) -> u <= 16.0 && b <= 9.0) ws)
+
 let () =
   Alcotest.run "dpq_aggtree"
     [
@@ -281,5 +443,10 @@ let () =
           Alcotest.test_case "broadcast report" `Quick test_broadcast_report;
           Alcotest.test_case "report addition" `Quick test_report_addition;
           Alcotest.test_case "up rounds log" `Quick test_up_rounds_scale_logarithmically;
+        ] );
+      ( "figures",
+        [
+          Alcotest.test_case "golden figures" `Quick test_golden_figures;
+          Alcotest.test_case "minor words per vnode" `Quick test_words_per_vnode;
         ] );
     ]

@@ -345,6 +345,187 @@ let test_metrics_merge () =
   checki "max bits" 9 (Metrics.max_message_bits a);
   checki "summed rounds" 3 (Metrics.rounds a)
 
+(* The congestion counters as they were before flushes visited only the
+   touched destinations: every round boundary swept all n counters.  Kept
+   verbatim as the oracle for the equivalence property below. *)
+module Sweep_metrics = struct
+  type t = {
+    n : int;
+    mutable rounds : int;
+    mutable total_messages : int;
+    mutable total_bits : int;
+    mutable local_deliveries : int;
+    mutable max_message_bits : int;
+    mutable max_congestion : int;
+    node_load : int array;
+    mutable cur_round : int;
+    cur_counts : int array;
+  }
+
+  let create ~n =
+    {
+      n;
+      rounds = 0;
+      total_messages = 0;
+      total_bits = 0;
+      local_deliveries = 0;
+      max_message_bits = 0;
+      max_congestion = 0;
+      node_load = Array.make n 0;
+      cur_round = -1;
+      cur_counts = Array.make n 0;
+    }
+
+  let flush_round t =
+    Array.iteri
+      (fun i c ->
+        if c > t.max_congestion then t.max_congestion <- c;
+        t.cur_counts.(i) <- 0)
+      t.cur_counts
+
+  let record_delivery t ~round ~dst ~bits =
+    if round <> t.cur_round then begin
+      flush_round t;
+      t.cur_round <- round
+    end;
+    if round + 1 > t.rounds then t.rounds <- round + 1;
+    t.total_messages <- t.total_messages + 1;
+    t.total_bits <- t.total_bits + bits;
+    if bits > t.max_message_bits then t.max_message_bits <- bits;
+    t.node_load.(dst) <- t.node_load.(dst) + 1;
+    t.cur_counts.(dst) <- t.cur_counts.(dst) + 1
+
+  let record_local t = t.local_deliveries <- t.local_deliveries + 1
+  let record_locals t ~count = t.local_deliveries <- t.local_deliveries + count
+
+  let max_congestion t =
+    flush_round t;
+    t.max_congestion
+
+  let reset t =
+    t.rounds <- 0;
+    t.total_messages <- 0;
+    t.total_bits <- 0;
+    t.local_deliveries <- 0;
+    t.max_message_bits <- 0;
+    t.max_congestion <- 0;
+    t.cur_round <- -1;
+    Array.fill t.node_load 0 t.n 0;
+    Array.fill t.cur_counts 0 t.n 0
+
+  let merge_max acc t =
+    acc.rounds <- acc.rounds + t.rounds;
+    acc.total_messages <- acc.total_messages + t.total_messages;
+    acc.total_bits <- acc.total_bits + t.total_bits;
+    acc.local_deliveries <- acc.local_deliveries + t.local_deliveries;
+    acc.max_message_bits <- max acc.max_message_bits t.max_message_bits;
+    acc.max_congestion <- max acc.max_congestion (max_congestion t);
+    Array.iteri (fun i v -> acc.node_load.(i) <- acc.node_load.(i) + v) t.node_load
+end
+
+(* One step against a pair of instances (0 and 1): deliveries [gap] rounds
+   after that instance's last (0 = same round, >= 2 leaves empty rounds),
+   a burst of deliveries in one round (enough distinct destinations to
+   grow the touched list), local deliveries, a mid-stream congestion read
+   (it flushes), a reset, and folding instance 1 into instance 0. *)
+type metrics_op =
+  | Deliver of { inst : int; gap : int; dst : int; bits : int }
+  | Burst of { inst : int; gap : int; dsts : int list }
+  | Local of int
+  | Locals of int * int
+  | Read_congestion of int
+  | Reset of int
+  | Merge
+
+let pp_metrics_op = function
+  | Deliver { inst; gap; dst; bits } -> Printf.sprintf "D(%d,+%d,%d,%d)" inst gap dst bits
+  | Burst { inst; gap; dsts } ->
+      Printf.sprintf "B(%d,+%d,[%s])" inst gap (String.concat "," (List.map string_of_int dsts))
+  | Local i -> Printf.sprintf "L%d" i
+  | Locals (i, c) -> Printf.sprintf "Ls(%d,%d)" i c
+  | Read_congestion i -> Printf.sprintf "C%d" i
+  | Reset i -> Printf.sprintf "R%d" i
+  | Merge -> "M"
+
+let gen_metrics_case =
+  QCheck.Gen.(
+    int_range 1 40 >>= fun n ->
+    let op =
+      frequency
+        [
+          ( 12,
+            map4
+              (fun inst gap dst bits -> Deliver { inst; gap; dst; bits })
+              (int_bound 1)
+              (frequency [ (6, return 0); (3, return 1); (1, int_range 2 5) ])
+              (int_bound (n - 1))
+              (int_bound 300) );
+          ( 2,
+            map3
+              (fun inst gap dsts -> Burst { inst; gap; dsts })
+              (int_bound 1) (int_bound 2)
+              (list_size (int_bound (3 * n)) (int_bound (n - 1))) );
+          (1, map (fun i -> Local i) (int_bound 1));
+          (1, map2 (fun i c -> Locals (i, c)) (int_bound 1) (int_bound 5));
+          (1, map (fun i -> Read_congestion i) (int_bound 1));
+          (1, map (fun i -> Reset i) (int_bound 1));
+          (1, return Merge);
+        ]
+    in
+    map (fun ops -> (n, ops)) (list_size (int_range 0 200) op))
+
+let prop_metrics_match_sweep =
+  QCheck.Test.make ~count:500 ~name:"touched-node flush matches the O(n) sweep"
+    (QCheck.make
+       ~print:(fun (n, ops) ->
+         Printf.sprintf "n=%d [%s]" n (String.concat "; " (List.map pp_metrics_op ops)))
+       gen_metrics_case)
+    (fun (n, ops) ->
+      let m = [| Metrics.create ~n; Metrics.create ~n |] in
+      let o = [| Sweep_metrics.create ~n; Sweep_metrics.create ~n |] in
+      let round = [| 0; 0 |] in
+      let same i =
+        Metrics.rounds m.(i) = o.(i).Sweep_metrics.rounds
+        && Metrics.total_messages m.(i) = o.(i).Sweep_metrics.total_messages
+        && Metrics.total_bits m.(i) = o.(i).Sweep_metrics.total_bits
+        && Metrics.local_deliveries m.(i) = o.(i).Sweep_metrics.local_deliveries
+        && Metrics.max_message_bits m.(i) = o.(i).Sweep_metrics.max_message_bits
+        && Metrics.node_load m.(i) = o.(i).Sweep_metrics.node_load
+      in
+      let congestion i = Metrics.max_congestion m.(i) = Sweep_metrics.max_congestion o.(i) in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Deliver { inst = i; gap; dst; bits } ->
+              round.(i) <- round.(i) + gap;
+              Metrics.record_delivery m.(i) ~round:round.(i) ~dst ~bits;
+              Sweep_metrics.record_delivery o.(i) ~round:round.(i) ~dst ~bits
+          | Burst { inst = i; gap; dsts } ->
+              round.(i) <- round.(i) + gap;
+              List.iter
+                (fun dst ->
+                  Metrics.record_delivery m.(i) ~round:round.(i) ~dst ~bits:dst;
+                  Sweep_metrics.record_delivery o.(i) ~round:round.(i) ~dst ~bits:dst)
+                dsts
+          | Local i ->
+              Metrics.record_local m.(i);
+              Sweep_metrics.record_local o.(i)
+          | Locals (i, count) ->
+              Metrics.record_locals m.(i) ~count;
+              Sweep_metrics.record_locals o.(i) ~count
+          | Read_congestion _ -> ()
+          | Reset i ->
+              Metrics.reset m.(i);
+              Sweep_metrics.reset o.(i);
+              round.(i) <- 0
+          | Merge ->
+              Metrics.merge_max m.(0) m.(1);
+              Sweep_metrics.merge_max o.(0) o.(1));
+          same 0 && same 1
+          && match op with Read_congestion i -> congestion i | _ -> true)
+        ops
+      && congestion 0 && congestion 1 && same 0 && same 1)
+
 let () =
   Alcotest.run "dpq_simrt"
     [
@@ -383,5 +564,6 @@ let () =
           Alcotest.test_case "rounds and reset" `Quick test_metrics_rounds_and_reset;
           Alcotest.test_case "congestion per round" `Quick test_metrics_congestion_per_round;
           Alcotest.test_case "merge" `Quick test_metrics_merge;
+          QCheck_alcotest.to_alcotest prop_metrics_match_sweep;
         ] );
     ]
